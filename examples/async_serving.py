@@ -16,9 +16,7 @@ from repro.aio import (
     AsyncStoreClient,
     AsyncStorePool,
     AsyncTCPStoreServer,
-    loop_policy,
     run_closed_loop,
-    uvloop_available,
 )
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
@@ -75,9 +73,5 @@ async def cluster_fan_out() -> None:
 
 
 if __name__ == "__main__":
-    # uvloop when installed, stdlib loop otherwise — same code either way
-    asyncio.set_event_loop_policy(loop_policy())
-    engine = "uvloop" if uvloop_available() else "asyncio (stdlib)"
-    print(f"event loop engine: {engine}")
     asyncio.run(single_server_load())
     asyncio.run(cluster_fan_out())

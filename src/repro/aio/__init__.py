@@ -19,8 +19,6 @@ callback-driven backpressure):
   :class:`~repro.cluster.consistent.ConsistentHashRing` of async clients.
 * :func:`run_closed_loop` — a closed-loop YCSB-style load generator
   reporting throughput and p50/p95/p99 latency.
-* :func:`loop_policy` / :func:`install` — optional uvloop acceleration
-  with a graceful stdlib fallback.
 * :func:`tune_socket` — the shared TCP tuning policy (NODELAY + explicit
   buffer sizing) every connect/accept path applies.
 """
@@ -28,7 +26,6 @@ callback-driven backpressure):
 from repro.aio.backoff import RetryPolicy
 from repro.aio.client import AsyncStoreClient, BatchResult
 from repro.aio.loadgen import LoadReport, run_closed_loop, run_closed_loop_sync
-from repro.aio.loops import install, loop_policy, uvloop_available
 from repro.aio.pool import AsyncStorePool
 from repro.aio.server import AsyncTCPStoreServer
 from repro.protocol.sockopt import tune_socket
@@ -40,10 +37,7 @@ __all__ = [
     "BatchResult",
     "LoadReport",
     "RetryPolicy",
-    "install",
-    "loop_policy",
     "run_closed_loop",
     "run_closed_loop_sync",
     "tune_socket",
-    "uvloop_available",
 ]

@@ -10,9 +10,8 @@ memory, independent of the sample count.
 
 :class:`BoundedHistogram` is the one histogram implementation in the repo:
 the simulation harness records request latencies into it (as
-``repro.sim.histogram.LatencyHistogram``, a backwards-compatible alias),
-and the :mod:`repro.obs` metrics registry wraps it for live per-command
-latency series.  It is interchangeable with exact percentiles for
+:class:`LatencyHistogram`), and the :mod:`repro.obs` metrics registry
+wraps it for live per-command latency series.  It is interchangeable with exact percentiles for
 validation (the tests check the error bound against numpy's exact
 percentile).
 """

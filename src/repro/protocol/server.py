@@ -742,8 +742,14 @@ class TCPStoreServer:
             raise RuntimeError("server already shut down")
         if self._thread is not None:
             raise RuntimeError("server already started")
+        # stop() blocks until serve_forever's next poll; at the 0.5 s
+        # default every teardown (a replica group stops four servers)
+        # sleeps that long, so poll every 50 ms instead
         self._thread = threading.Thread(
-            target=self._server.serve_forever, name="gdwheel-store-server", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="gdwheel-store-server",
+            daemon=True,
         )
         self._thread.start()
 

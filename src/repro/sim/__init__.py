@@ -1,12 +1,12 @@
 """Simulation machinery: the YCSB-style driver, latency model, metrics,
 warmup calibration, per-operation cost measurement, and result containers."""
 
+from repro.obs.histogram import LatencyHistogram
 from repro.sim.calibrate import (
     calibrate_num_keys,
     capacity_items_for,
     lru_hit_rate,
 )
-from repro.sim.histogram import LatencyHistogram
 from repro.sim.driver import (
     DEFAULT_REQUEST_INTERVAL_S,
     PAPER_REBALANCER_CHECKS,

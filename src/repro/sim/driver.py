@@ -187,9 +187,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     formatting.  With no time-triggered machinery installed (no rebalancer
     cadence to honour, and the driver never sets expiries), the simulated
     clock is advanced once per run instead of once per request; results
-    are byte-identical either way, which
-    ``benchmarks/run_sim_bench.py`` asserts against the frozen copy of
-    the per-request loop.
+    are byte-identical either way, which ``tests/sim/test_golden_counts.py``
+    pins as exact hit, miss, cost and eviction counts.
     """
     started = time.perf_counter()
     num_keys = resolve_num_keys(config)
