@@ -275,8 +275,8 @@ class AsyncTCPStoreServer:
     """An asyncio TCP server speaking the extended memcached protocol.
 
     Args:
-        store: the backing :class:`KVStore` (or pass ``engine=`` to share a
-            prebuilt :class:`StoreServer`, e.g. with the threaded server).
+        store: the backing :class:`KVStore` (or pass ``engine=`` to serve
+            a prebuilt :class:`StoreServer`).
         host/port: bind address; port 0 binds an ephemeral port, exposed
             via :attr:`address` once started.
         max_connections: beyond this many concurrent connections, new

@@ -23,7 +23,7 @@ from repro.core.camp import CAMPPolicy, round_ratio
 from repro.core.clock import ClockPolicy
 from repro.core.gdpq import GDPQPolicy
 from repro.core.gds import GDSFPolicy, GDSPolicy
-from repro.core.gdwheel import CostOutOfRangeError, GDWheelPolicy
+from repro.core.gdwheel import GDWheelPolicy
 from repro.core.greedydual import NaiveGreedyDual
 from repro.core.intrusive import IntrusiveList, IntrusiveNode
 from repro.core.lru import LRUPolicy
@@ -34,6 +34,7 @@ from repro.core.offline import (
     simulate_cost_aware_offline,
 )
 from repro.core.policy import (
+    CostOutOfRangeError,
     EvictionError,
     PolicyEntry,
     ReplacementPolicy,

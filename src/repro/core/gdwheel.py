@@ -36,12 +36,13 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.core.intrusive import IntrusiveList
-from repro.core.policy import EvictionError, PolicyEntry, ReplacementPolicy
+from repro.core.policy import (
+    CostOutOfRangeError,
+    EvictionError,
+    PolicyEntry,
+    ReplacementPolicy,
+)
 from repro.obs.trace import CascadeEvent
-
-
-class CostOutOfRangeError(ValueError):
-    """Cost exceeds the range representable by the configured wheels."""
 
 
 class GDWheelPolicy(ReplacementPolicy):
@@ -54,15 +55,11 @@ class GDWheelPolicy(ReplacementPolicy):
         self,
         num_queues: int = 256,
         num_wheels: int = 2,
-        clamp_costs: bool = False,
     ) -> None:
         """
         Args:
             num_queues: queues per wheel (``NQ``; paper default 256).
             num_wheels: wheels in the hierarchy (``NW``; paper default 2).
-            clamp_costs: if True, costs above the representable maximum are
-                clamped to it (and counted in :attr:`clamped_costs`) instead
-                of raising :class:`CostOutOfRangeError`.
         """
         if num_queues < 2:
             raise ValueError("num_queues must be >= 2")
@@ -70,7 +67,6 @@ class GDWheelPolicy(ReplacementPolicy):
             raise ValueError("num_wheels must be >= 1")
         self.num_queues = num_queues
         self.num_wheels = num_wheels
-        self.clamp_costs = clamp_costs
         self._pow = [num_queues**i for i in range(num_wheels + 1)]
         #: maximum representable cost
         self.max_cost = self._pow[num_wheels] - 1
@@ -96,7 +92,6 @@ class GDWheelPolicy(ReplacementPolicy):
         self._inflation = 0  # absolute position of the level-0 hand == L
         #: observability counters
         self.total_migrations = 0
-        self.clamped_costs = 0
         # registry/trace hooks (bound by the store via bind_observability)
         self._trace = None
         self._class_id = None
@@ -143,13 +138,10 @@ class GDWheelPolicy(ReplacementPolicy):
     def _effective_cost(self, cost: int) -> int:
         self.check_cost(cost)
         if cost > self.max_cost:
-            if not self.clamp_costs:
-                raise CostOutOfRangeError(
-                    f"cost {cost} exceeds wheel capacity {self.max_cost} "
-                    f"(NQ={self.num_queues}, NW={self.num_wheels})"
-                )
-            self.clamped_costs += 1
-            return self.max_cost
+            raise CostOutOfRangeError(
+                f"cost {cost} exceeds wheel capacity {self.max_cost} "
+                f"(NQ={self.num_queues}, NW={self.num_wheels})"
+            )
         return cost
 
     def _level_for(self, delta: int) -> int:

@@ -23,6 +23,7 @@ argument.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Iterator, Optional
 
@@ -69,6 +70,10 @@ class EvictionError(RuntimeError):
     """Raised when a victim is requested but the policy tracks no entries."""
 
 
+class CostOutOfRangeError(ValueError):
+    """Cost outside ``0 … max_cost`` of the policy that would hold it."""
+
+
 class ReplacementPolicy(ABC):
     """Abstract replacement policy.
 
@@ -82,6 +87,11 @@ class ReplacementPolicy(ABC):
 
     #: Whether the policy makes use of the ``cost`` argument.
     cost_aware: bool = False
+
+    #: Largest cost :meth:`insert` accepts; the store rejects a SET above
+    #: it before touching any state.  Unbounded unless the policy's data
+    #: structure limits it (GD-Wheel: ``NQ**NW − 1``).
+    max_cost = math.inf
 
     @abstractmethod
     def insert(self, entry: PolicyEntry, cost: int = 0) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
-from repro.core.policy import ReplacementPolicy
+from repro.core.policy import CostOutOfRangeError, ReplacementPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import EventTrace, EvictionEvent, SlabMoveEvent, key_fingerprint
 from repro.obs.tracing import child_span, finish_span
@@ -161,8 +161,8 @@ class KVStore:
         """Shadow each public op with a timed wrapper (instance attributes).
 
         ``decr`` is left alone — it delegates to ``incr``, which is already
-        timed.  Composition wrappers (:class:`ThreadSafeStore`, the protocol
-        servers) call through the instance attribute and are timed too.
+        timed.  The protocol server calls through the instance attribute,
+        so its calls are timed too.
         """
         for op in self._TIMED_OPS:
             hist = self.metrics.histogram(
@@ -431,8 +431,7 @@ class KVStore:
         The per-key semantics are exactly :meth:`get` (expiry, policy
         touch, tier promotion, stats); the vectored form exists so the
         serving layer can dispatch a whole MGET frame in one store call —
-        one lock acquisition on a :class:`ThreadSafeStore`, one dispatch
-        entry on the protocol engine.
+        one dispatch entry on the protocol engine.
         """
         get = self.get
         return [get(key) for key in keys]
@@ -443,9 +442,10 @@ class KVStore:
         Returns one result per entry, in order: the stored :class:`Item`
         on success, or the raised storage error instance
         (:class:`ObjectTooLargeError` / :class:`OutOfMemoryError` /
-        :class:`NotStoredError` for a last-writer-wins reject) on
-        failure — errors are per-entry data, never aborts, so one
-        oversized value cannot void the rest of an MSET batch.
+        :class:`CostOutOfRangeError` / :class:`NotStoredError` for a
+        last-writer-wins reject) on failure — errors are per-entry data,
+        never aborts, so one bad item cannot void the rest of an MSET
+        batch.
         """
         results: List[object] = []
         set_ = self.set
@@ -454,7 +454,8 @@ class KVStore:
         for entry in entries:
             try:
                 results.append(set_(*entry))
-            except (ObjectTooLargeError, OutOfMemoryError, NotStoredError) as exc:
+            except (ObjectTooLargeError, OutOfMemoryError,
+                    CostOutOfRangeError, NotStoredError) as exc:
                 results.append(exc)
         return results
 
@@ -556,15 +557,26 @@ class KVStore:
             # replica member: stamp locally-originated unversioned writes
             # so they still participate in LWW between replicas
             version = self.hlc.tick()
+        item = Item(key=key, value=value, cost=cost, flags=flags,
+                    exptime=exptime, version=version)
+        slab_class = self.allocator.class_for_size(item.footprint)
+        policy = slab_class.policy
+        if policy is None:
+            policy = self.policy_for(slab_class)
+        # validated before any state changes: a policy that refused the
+        # cost at insert would leave the item in the hash table and the
+        # allocator but not in the policy
+        if not 0 <= cost <= policy.max_cost:
+            raise CostOutOfRangeError(
+                f"cost {cost} outside {policy.name}'s range "
+                f"0..{policy.max_cost}"
+            )
         if old is not None:
             self._unlink_item(old, old.slab.owner)
         tier = self.tier
         if tier is not None:
             # any flash copy is stale the moment RAM stores a new value
             tier.invalidate(key)
-        item = Item(key=key, value=value, cost=cost, flags=flags,
-                    exptime=exptime, version=version)
-        slab_class = self.allocator.class_for_size(item.footprint)
         slab, index = self._allocate_chunk(slab_class)
         slab_class.store_item(item, slab, index)
         self.hashtable.insert(item)
@@ -573,9 +585,6 @@ class KVStore:
         slab.last_access = now
         self._cas_counter += 1
         item.cas_unique = self._cas_counter
-        policy = slab_class.policy
-        if policy is None:
-            policy = self.policy_for(slab_class)
         policy.insert(item, cost)
         if count_set:
             self._count_set()

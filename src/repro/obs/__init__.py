@@ -57,8 +57,6 @@ from repro.obs.tracing import (
     decode_token,
     encode_token,
     finish_span,
-    pack_trace_extras,
-    unpack_trace_extras,
 )
 
 __all__ = [
@@ -97,9 +95,7 @@ __all__ = [
     "format_snapshot",
     "key_fingerprint",
     "merge_trace_stats",
-    "pack_trace_extras",
     "parse_sample_lines",
     "render_registry",
     "sum_numeric_stats",
-    "unpack_trace_extras",
 ]

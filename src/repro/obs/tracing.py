@@ -6,21 +6,15 @@ store, tier).  The pieces:
 
 :class:`TraceContext`
     The 17 bytes that ride the wire: a 64-bit trace id, the sender's
-    64-bit span id (the receiver's parent), and a sampled flag.  Two
-    codecs carry it over the existing protocol without breaking old
-    peers:
-
-    * **text**: :func:`encode_token` renders the context as a
-      ``tctx:<hex>.<hex>.<flag>`` *pseudo-key* appended to a ``get``
-      line.  The token is a valid memcached key, so an old server
-      treats it as one more requested key and answers a harmless miss;
-      a trace-aware parser strips it off and hands the context to the
-      dispatcher.  Storage commands reject unknown tokens in old
-      parsers, so propagation deliberately rides GETs only — SETs are
-      still traced client-side.
-    * **binary**: :func:`pack_trace_extras` packs the same 17 bytes into
-      a GET request's extras field, which the stock dispatcher ignores
-      entirely (GET requests normally carry no extras).
+    64-bit span id (the receiver's parent), and a sampled flag.
+    :func:`encode_token` renders it as a ``tctx:<hex>.<hex>.<flag>``
+    *pseudo-key* appended to a ``get`` line, so it rides the existing
+    text protocol without breaking old peers.  The token is a valid
+    memcached key, so an old server treats it as one more requested key
+    and answers a harmless miss; a trace-aware parser strips it off and
+    hands the context to the dispatcher.  Storage commands reject
+    unknown tokens in old parsers, so propagation deliberately rides
+    GETs only — SETs are still traced client-side.
 
 :class:`Span` / :class:`SpanBuffer`
     A span is ``(trace, span, parent, name, process, start_us,
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 import json
 import random
-import struct
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -60,7 +53,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 __all__ = [
     "TOKEN_PREFIX",
-    "TRACE_EXTRAS_LEN",
     "Span",
     "SpanBuffer",
     "TraceContext",
@@ -72,9 +64,7 @@ __all__ = [
     "decode_token",
     "encode_token",
     "finish_span",
-    "pack_trace_extras",
     "suppress",
-    "unpack_trace_extras",
 ]
 
 
@@ -122,30 +112,6 @@ def decode_token(token: bytes) -> Optional[TraceContext]:
     if parts[2] not in (b"0", b"1"):
         return None
     return TraceContext(trace_id, span_id, parts[2] == b"1")
-
-
-#: binary-protocol carrier: trace id, parent span id, flags — rides the
-#: extras of a GET request, which stock dispatchers ignore
-_TRACE_EXTRAS = struct.Struct(">QQB")
-TRACE_EXTRAS_LEN = _TRACE_EXTRAS.size  # 17
-
-_EXTRAS_FLAG_SAMPLED = 0x01
-
-
-def pack_trace_extras(context: TraceContext) -> bytes:
-    return _TRACE_EXTRAS.pack(
-        context.trace_id,
-        context.span_id,
-        _EXTRAS_FLAG_SAMPLED if context.sampled else 0,
-    )
-
-
-def unpack_trace_extras(extras: bytes) -> Optional[TraceContext]:
-    """Parse binary trace extras; ``None`` when absent or malformed."""
-    if len(extras) != TRACE_EXTRAS_LEN:
-        return None
-    trace_id, span_id, flags = _TRACE_EXTRAS.unpack(extras)
-    return TraceContext(trace_id, span_id, bool(flags & _EXTRAS_FLAG_SAMPLED))
 
 
 # -- spans -------------------------------------------------------------------------

@@ -1,16 +1,9 @@
-"""The memcached protocols with the paper's cost extension.
+"""The memcached text protocol with the paper's cost extension.
 
-Text protocol (the paper's choice) plus the binary protocol (with the
-cost carried in extended SET extras), over in-process and TCP transports.
+The protocol engine, its in-process loopback connection and the sync
+client; the asyncio TCP server lives in :mod:`repro.aio`.
 """
 
-from repro.protocol.estimator import CostEstimator
-from repro.protocol.binary import (
-    BinaryClient,
-    BinaryFrame,
-    BinaryParser,
-    BinaryStoreServer,
-)
 from repro.protocol.client import (
     CostAwareClient,
     LoopbackTransport,
@@ -45,7 +38,6 @@ from repro.protocol.server import (
     LoopbackConnection,
     StoreConnection,
     StoreServer,
-    TCPStoreServer,
 )
 from repro.protocol.sockopt import SOCKET_BUFFER, tune_socket
 from repro.protocol.text import (
@@ -56,12 +48,7 @@ from repro.protocol.text import (
 )
 
 __all__ = [
-    "BinaryClient",
-    "BinaryFrame",
-    "BinaryParser",
-    "BinaryStoreServer",
     "CostAwareClient",
-    "CostEstimator",
     "DELETED",
     "DeleteCommand",
     "EXISTS",
@@ -88,7 +75,6 @@ __all__ = [
     "StoreCommand",
     "StoreConnection",
     "StoreServer",
-    "TCPStoreServer",
     "TCPTransport",
     "TOUCHED",
     "TouchCommand",

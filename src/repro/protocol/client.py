@@ -332,21 +332,12 @@ class CostAwareClient:
         cost_units: Optional[int] = None,
         cost_unit_seconds: float = 0.001,
         exptime: float = 0,
-        estimator=None,
-        key_class: Optional[str] = None,
     ) -> Tuple[bytes, bool]:
         """GET; on miss, compute, SET with cost, and return (value, was_hit).
 
-        Cost selection, in priority order:
-
-        1. explicit ``cost_units``;
-        2. an attached :class:`~repro.protocol.estimator.CostEstimator`
-           (``estimator`` + ``key_class``): the miss is timed, the class
-           EWMA updates, and the smoothed estimate is attached — stable
-           integers rather than one noisy sample;
-        3. otherwise the raw measured time quantized at
-           ``cost_unit_seconds`` per unit (the paper maps milliseconds of
-           recomputation onto small integers).
+        The cost is ``cost_units`` when given, otherwise the measured
+        recomputation time quantized at ``cost_unit_seconds`` per unit (the
+        paper maps milliseconds of recomputation onto small integers).
         """
         cached = self.get(key)
         if cached is not None:
@@ -355,11 +346,6 @@ class CostAwareClient:
         value = compute()
         elapsed = time.perf_counter() - started
         if cost_units is None:
-            if estimator is not None:
-                if key_class is None:
-                    raise ValueError("estimator requires a key_class")
-                cost_units = estimator.observe_and_estimate(key_class, elapsed)
-            else:
-                cost_units = max(1, round(elapsed / cost_unit_seconds))
+            cost_units = max(1, round(elapsed / cost_unit_seconds))
         self.set(key, value, cost=cost_units, exptime=exptime)
         return value, False

@@ -78,7 +78,6 @@ class MultiGetCommand:
 
     Unlike a multi-key ``get``, ``mget`` is dispatched *vectored*: the
     server executes the whole key batch against the store in one call
-    (one lock acquisition on a :class:`~repro.kvstore.ThreadSafeStore`)
     and encodes every response into one shared buffer.  ``trace_token``
     carries at most one trace context for the entire frame — batching
     collapses N per-key tokens into one.

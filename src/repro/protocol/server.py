@@ -2,21 +2,19 @@
 
 :class:`StoreServer` is transport-agnostic — it consumes request bytes and
 produces response bytes — so the same dispatcher backs the in-process
-loopback connection used by tests/examples and the TCP server below.
+loopback connection used by tests/examples and the asyncio TCP server in
+:mod:`repro.aio.server`.
 """
 
 from __future__ import annotations
 
-import socket
-import socketserver
-import threading
 import time
 from typing import Optional, Tuple
 
+from repro.core.policy import CostOutOfRangeError
 from repro.obs import tracing
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import IdleDisconnectEvent, OverloadShedEvent
-from repro.protocol.sockopt import tune_socket
+from repro.obs.trace import OverloadShedEvent
 from repro.kvstore.errors import (
     CasMismatchError,
     NotStoredError,
@@ -311,14 +309,9 @@ class StoreServer:
                     )
             return GetResponse(values=tuple(values)), True
         if isinstance(command, MultiGetCommand):
-            # Vectored read: the whole batch goes through the store in one
-            # call (one lock acquisition on a ThreadSafeStore).
+            # vectored read: the whole batch goes through the store in one call
             keys = command.keys
-            get_many = getattr(store, "get_many", None)
-            if get_many is not None:
-                items = get_many(keys)
-            else:  # store-like wrapper without the vectored API
-                items = [store.get(key) for key in keys]
+            items = store.get_many(keys)
             values = []
             for key, item in zip(keys, items):
                 if item is not None:
@@ -379,6 +372,8 @@ class StoreServer:
                 return server_error("object too large for cache"), not command.noreply
             except OutOfMemoryError:
                 return server_error("out of memory storing object"), not command.noreply
+            except CostOutOfRangeError:
+                return client_error("cost out of range"), not command.noreply
             return STORED, not command.noreply
         if isinstance(command, DeleteCommand):
             found = store.delete(command.key)
@@ -397,16 +392,10 @@ class StoreServer:
                 return self._stats_reset(), True
             return self._stats_response(command.subcommand), True
         if isinstance(command, DigestCommand):
-            digest = getattr(store, "digest", None)
-            if digest is None:  # store-like wrapper without anti-entropy
-                return server_error("digest unsupported"), True
-            slots = tuple(digest(command.nslots))
+            slots = tuple(store.digest(command.nslots))
             return DigestResponse(nslots=command.nslots, slots=slots), True
         if isinstance(command, KeyListCommand):
-            key_entries = getattr(store, "key_entries", None)
-            if key_entries is None:
-                return server_error("keys unsupported"), True
-            entries = tuple(key_entries(command.slot, command.nslots))
+            entries = tuple(store.key_entries(command.slot, command.nslots))
             return KeyListResponse(entries=entries), True
         if isinstance(command, QuitCommand):
             return OK, False
@@ -420,7 +409,8 @@ class StoreServer:
         by last-writer-wins version resolution — the durable copy is
         *newer*, so quorum accounting still counts it as an ack),
         ``TOO_LARGE`` (object larger than a slab), ``OOM`` (allocation
-        failed under memory pressure).
+        failed under memory pressure), ``ERROR`` (any other per-item
+        failure, e.g. a cost outside the policy's range).
         """
         store = self.store
         now = store.clock.now
@@ -433,19 +423,7 @@ class StoreServer:
                 (item.key, item.value, item.cost, exptime, item.flags,
                  item.version)
             )
-        set_many = getattr(store, "set_many", None)
-        if set_many is not None:
-            results = set_many(entries)
-        else:  # store-like wrapper without the vectored API
-            results = []
-            for key, value, cost, exptime, flags, version in entries:
-                try:
-                    results.append(
-                        store.set(key, value, cost=cost, exptime=exptime,
-                                  flags=flags)
-                    )
-                except (ObjectTooLargeError, OutOfMemoryError) as exc:
-                    results.append(exc)
+        results = store.set_many(entries)
         statuses = []
         for result in results:
             if isinstance(result, ObjectTooLargeError):
@@ -454,7 +432,7 @@ class StoreServer:
                 statuses.append(b"OOM")
             elif isinstance(result, NotStoredError):
                 statuses.append(b"NOT_STORED")
-            elif isinstance(result, BaseException):  # defensive: unknown error
+            elif isinstance(result, BaseException):
                 statuses.append(b"ERROR")
             else:
                 statuses.append(b"STORED")
@@ -577,8 +555,8 @@ class StoreConnection:
     the parser is incremental and :meth:`StoreServer.handle_bytes` drains
     *every* complete command in the buffer, feeding one TCP segment that
     carries many commands produces one coalesced response blob — request
-    pipelining falls out for free, identically for the threaded server, the
-    in-process loopback, and the asyncio server in :mod:`repro.aio`.
+    pipelining falls out for free, identically for the in-process loopback
+    and the asyncio server in :mod:`repro.aio`.
     """
 
     __slots__ = ("engine", "parser", "open")
@@ -624,158 +602,3 @@ class LoopbackConnection(StoreConnection):
 
     def send(self, data: bytes) -> bytes:
         return self.feed(data)
-
-
-class _TCPHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via TCP tests
-        tune_socket(self.request)
-        engine: StoreServer = self.server.engine  # type: ignore[attr-defined]
-        overload = getattr(self.server, "overload", None)
-        metrics = engine.metrics
-        current = metrics.gauge(
-            "server_current_connections", help="open client connections",
-            transport="threaded",
-        )
-        bytes_in = metrics.counter(
-            "server_bytes_in_total", help="request bytes received",
-            transport="threaded",
-        )
-        bytes_out = metrics.counter(
-            "server_bytes_out_total", help="response bytes sent",
-            transport="threaded",
-        )
-        metrics.counter(
-            "server_connections_total", help="connections accepted",
-            transport="threaded",
-        ).inc()
-        current.inc()
-        idle_timeout = overload.idle_timeout if overload is not None else None
-        budget = overload.request_deadline if overload is not None else None
-        if idle_timeout is not None:
-            self.request.settimeout(idle_timeout)
-        connection = StoreConnection(engine)
-        try:
-            while connection.open:
-                try:
-                    data = self.request.recv(65536)
-                except socket.timeout:
-                    metrics.counter(
-                        "server_idle_disconnects_total",
-                        help="connections closed by the idle timeout",
-                        transport="threaded",
-                    ).inc()
-                    if engine.trace is not None:
-                        engine.trace.record(
-                            IdleDisconnectEvent(idle_timeout=idle_timeout)
-                        )
-                    return
-                except (ConnectionError, OSError):
-                    return
-                if not data:
-                    return
-                bytes_in.inc(len(data))
-                try:
-                    response = connection.feed(data, budget=budget)
-                except ConnectionError:
-                    return
-                if response:
-                    bytes_out.inc(len(response))
-                    try:
-                        self.request.sendall(response)
-                    except (ConnectionError, OSError):
-                        return
-        finally:
-            current.dec()
-
-
-class TCPStoreServer:
-    """A threaded TCP server speaking the extended memcached protocol.
-
-    Binds to loopback only (this is a reproduction, not a hardened daemon).
-    Test-friendly by construction: ``allow_reuse_address`` (SO_REUSEADDR)
-    means a freshly stopped port can be rebound immediately, ``port=0``
-    binds an ephemeral port exposed via :attr:`address`, and
-    :meth:`shutdown` is an idempotent clean teardown that joins the
-    accept thread.
-    """
-
-    def __init__(
-        self,
-        store: KVStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        overload=None,
-        tracer=None,
-        accept_batch: bool = True,
-    ) -> None:
-        self.engine = StoreServer(
-            store, registry=registry, tracer=tracer, accept_batch=accept_batch
-        )
-
-        class _Server(socketserver.ThreadingTCPServer):
-            # set *before* bind so TIME_WAIT sockets from a previous run
-            # don't make back-to-back test servers fail with EADDRINUSE
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _TCPHandler)
-        self._server.engine = self.engine  # type: ignore[attr-defined]
-        # idle-timeout + request-deadline protection (an
-        # :class:`repro.resilience.OverloadPolicy`); None = unprotected
-        self._server.overload = overload  # type: ignore[attr-defined]
-        self.overload = overload
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound (host, port) — the real port even when created with 0."""
-        return self._server.server_address  # type: ignore[return-value]
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def start(self) -> None:
-        if self._closed:
-            raise RuntimeError("server already shut down")
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        # stop() blocks until serve_forever's next poll; at the 0.5 s
-        # default every teardown (a replica group stops four servers)
-        # sleeps that long, so poll every 50 ms instead
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="gdwheel-store-server",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop accepting, close the listening socket, join the thread.
-
-        Safe to call more than once (later calls are no-ops).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            # BaseServer.shutdown blocks until serve_forever acknowledges,
-            # so only call it when the accept loop is actually running
-            self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    # memcached daemons call this path "shutdown"; keep both names.
-    shutdown = stop
-
-    def __enter__(self) -> "TCPStoreServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

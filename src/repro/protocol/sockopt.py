@@ -2,8 +2,8 @@
 
 Every path that produces a connected TCP socket — the asyncio server's
 accept, the async client's dial (and redial), the blocking
-:class:`~repro.protocol.client.TCPTransport`, the threaded server's
-handler, both legs of the ChaosProxy, and the replica bootstrap stream —
+:class:`~repro.protocol.client.TCPTransport`, both legs of the
+ChaosProxy, and the replica bootstrap stream —
 funnels through :func:`tune_socket` so the wire behaves the same
 everywhere:
 

@@ -3,9 +3,8 @@
 An overloaded cache that degrades *everyone* is worse than one that says
 ``SERVER_ERROR busy`` to *some* — the paper's cost-aware replacement only
 helps if the serving layer in front of it survives load swings.  An
-:class:`OverloadPolicy` bundles the three defences both servers
-(:class:`~repro.aio.server.AsyncTCPStoreServer` and
-:class:`~repro.protocol.server.TCPStoreServer`) understand:
+:class:`OverloadPolicy` bundles the three defences the TCP server
+(:class:`~repro.aio.server.AsyncTCPStoreServer`) understands:
 
 * **idle timeout** — a silent client can no longer pin a
   ``max_connections`` slot forever; the server closes it and records an

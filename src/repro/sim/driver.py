@@ -94,7 +94,7 @@ def make_policy_factory(
     if name == "gd-wheel":
         options = {"num_queues": 256, "num_wheels": 2}
         options.update(kwargs)
-        wheel_capacity = options["num_queues"] ** options["num_wheels"] - 1
+        wheel_capacity = GDWheelPolicy(**options).max_cost
         if max_cost > wheel_capacity:
             raise ValueError(
                 f"workload max cost {max_cost} exceeds wheel capacity "

@@ -9,6 +9,7 @@ from repro.aio.loadgen import LoadReport
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
 from repro.workloads import SINGLE_SIZE_WORKLOADS
+from tests.serving import ServerThread
 
 
 def fresh_store():
@@ -75,39 +76,16 @@ class TestLoadGenerator:
         assert report.sets >= 100
 
     def test_sync_wrapper(self):
-        # run the blocking wrapper end-to-end: server in a thread-owned loop
-        import threading
-
-        store = fresh_store()
-        address = {}
-        ready = threading.Event()
-        stop = threading.Event()
-
-        def serve():
-            async def main():
-                async with AsyncTCPStoreServer(store) as server:
-                    address["addr"] = server.address
-                    ready.set()
-                    while not stop.is_set():
-                        await asyncio.sleep(0.01)
-
-            asyncio.run(main())
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert ready.wait(5)
-        try:
+        # run the blocking wrapper end-to-end against a real server
+        with ServerThread(fresh_store()) as server:
             workload = SINGLE_SIZE_WORKLOADS["4"].materialize(50, seed=5)
-            host, port = address["addr"]
+            host, port = server.address
             report = run_closed_loop_sync(
                 host, port, workload,
                 total_ops=100, concurrency=2, batch_size=4, seed=5,
             )
-            assert isinstance(report, LoadReport)
-            assert report.operations >= 100
-        finally:
-            stop.set()
-            thread.join(timeout=5)
+        assert isinstance(report, LoadReport)
+        assert report.operations >= 100
 
     def test_validation(self):
         workload = SINGLE_SIZE_WORKLOADS["4"].materialize(10)

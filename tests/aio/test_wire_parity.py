@@ -6,10 +6,6 @@ One pipelined request stream goes over a raw socket to an
 byte-identical.  The raw socket keeps the check independent of the
 client under test, and the stream is written in two pieces cut mid-command
 so the server's incremental framing runs across reads.
-
-The binary protocol is served in-process only, so its parity check is
-framing: one frame stream fed whole and the same stream fed in 7-byte
-pieces (every frame split, headers included) must answer the same bytes.
 """
 
 import asyncio
@@ -18,21 +14,6 @@ from repro.aio import AsyncTCPStoreServer
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
 from repro.protocol import LoopbackConnection, StoreServer
-from repro.protocol.binary import (
-    OP_DELETE,
-    OP_GET,
-    OP_INCREMENT,
-    OP_MGET,
-    OP_MSET,
-    OP_SET,
-    BinaryParser,
-    BinaryStoreServer,
-    MAGIC_REQUEST,
-    pack_mget_value,
-    pack_mset_value,
-    pack_store_extras,
-    request,
-)
 
 TEXT_STREAM = (
     b"set a 0 0 5 cost 7\r\nhello\r\n"
@@ -89,39 +70,3 @@ def test_text_stream_tcp_matches_loopback():
             )
 
     assert asyncio.run(main()) == expected
-
-
-def test_binary_stream_split_frames_match_whole():
-    frames = [
-        request(OP_SET, key=b"a", value=b"hello",
-                extras=pack_store_extras(0, 0, 7), opaque=1),
-        request(OP_SET, key=b"n", value=b"10",
-                extras=pack_store_extras(3, 0, 0), opaque=2),
-        request(OP_GET, key=b"a", opaque=3),
-        request(OP_GET, key=b"missing", opaque=4),
-        request(OP_MSET, value=pack_mset_value(
-            [(b"b", b"BBB", 9, 0, 1), (b"c", b"C", 0, 0, 0)]), opaque=5),
-        request(OP_MGET, value=pack_mget_value([b"a", b"b", b"c", b"x"]),
-                opaque=6),
-        request(OP_INCREMENT, key=b"n",
-                extras=(5).to_bytes(8, "big") + bytes(12), opaque=7),
-        request(OP_DELETE, key=b"b", opaque=8),
-        request(OP_DELETE, key=b"b", opaque=9),
-    ]
-    stream = b"".join(frame.pack() for frame in frames)
-
-    whole, keep_open = BinaryStoreServer(fresh_store()).handle_bytes(
-        BinaryParser(MAGIC_REQUEST), stream
-    )
-    assert keep_open
-
-    server = BinaryStoreServer(fresh_store())
-    parser = BinaryParser(MAGIC_REQUEST)
-    split = bytearray()
-    for offset in range(0, len(stream), 7):
-        reply, keep_open = server.handle_bytes(parser, stream[offset:offset + 7])
-        assert keep_open
-        split += reply
-
-    assert bytes(split) == whole
-    assert whole.count(b"hello") == 2  # the GET and the MGET hit

@@ -35,13 +35,6 @@ class TestGeometry:
         with pytest.raises(CostOutOfRangeError):
             policy.insert(PolicyEntry(key="y"), 16)
 
-    def test_cost_clamping_mode(self):
-        policy = GDWheelPolicy(num_queues=4, num_wheels=2, clamp_costs=True)
-        entry = PolicyEntry(key="big")
-        policy.insert(entry, 1_000)
-        assert entry.cost == policy.max_cost == 15
-        assert policy.clamped_costs == 1
-
 
 class TestPlacement:
     def test_small_cost_lands_in_level_zero(self):

@@ -11,7 +11,6 @@ import pytest
 
 from repro.obs.tracing import (
     TOKEN_PREFIX,
-    TRACE_EXTRAS_LEN,
     CURRENT,
     NOT_SAMPLED,
     Span,
@@ -25,9 +24,7 @@ from repro.obs.tracing import (
     decode_token,
     encode_token,
     finish_span,
-    pack_trace_extras,
     suppress,
-    unpack_trace_extras,
 )
 
 
@@ -88,15 +85,6 @@ def test_token_round_trip_unsampled():
 )
 def test_malformed_tokens_decode_to_none(bad):
     assert decode_token(bad) is None
-
-
-def test_extras_round_trip():
-    context = TraceContext(trace_id=2**64 - 1, span_id=1, sampled=True)
-    extras = pack_trace_extras(context)
-    assert len(extras) == TRACE_EXTRAS_LEN == 17
-    assert unpack_trace_extras(extras) == context
-    assert unpack_trace_extras(extras[:-1]) is None
-    assert unpack_trace_extras(b"") is None
 
 
 # -- sampling ----------------------------------------------------------------------

@@ -10,25 +10,6 @@ from repro.protocol import (
     LoopbackConnection,
     StoreServer,
 )
-from repro.protocol.binary import (
-    MAX_BATCH_ITEMS,
-    OP_MGET,
-    OP_MSET,
-    BinaryClient,
-    BinaryStoreServer,
-    STATUS_INVALID_ARGUMENTS,
-    STATUS_OK,
-    STATUS_VALUE_TOO_LARGE,
-    pack_mget_reply_value,
-    pack_mget_value,
-    pack_mset_reply_value,
-    pack_mset_value,
-    request,
-    unpack_mget_reply_value,
-    unpack_mget_value,
-    unpack_mset_reply_value,
-    unpack_mset_value,
-)
 from repro.protocol.commands import (
     GetCommand,
     GetResponse,
@@ -267,120 +248,3 @@ class TestTextNegotiation:
         out = connection.send(b"mget a\r\n")
         assert out.startswith(b"CLIENT_ERROR unknown command")
         assert not connection.open
-
-
-class TestBinaryCodecs:
-    def test_mget_value_roundtrip(self):
-        keys = (b"a", b"longer-key", b"")
-        assert unpack_mget_value(pack_mget_value(keys)) == keys
-
-    def test_mget_reply_roundtrip_skips_misses(self):
-        class Item:
-            def __init__(self, flags, value):
-                self.flags, self.value = flags, value
-
-        packed = pack_mget_reply_value(
-            [b"a", b"b", b"c"], [Item(1, b"v1"), None, Item(0, b"")]
-        )
-        assert unpack_mget_reply_value(packed) == [
-            (b"a", 1, b"v1"), (b"c", 0, b""),
-        ]
-
-    def test_mset_value_roundtrip(self):
-        # pack takes (key, value, cost, exptime, flags); unpack yields
-        # the wire's (key, flags, exptime, cost, value) field order
-        items = [(b"k1", b"v1", 7, 60, 1), (b"k2", b"", 0, 0, 0)]
-        assert unpack_mset_value(pack_mset_value(items)) == [
-            (b"k1", 1, 60, 7, b"v1"), (b"k2", 0, 0, 0, b""),
-        ]
-
-    def test_mset_reply_roundtrip(self):
-        statuses = (STATUS_OK, STATUS_VALUE_TOO_LARGE, STATUS_OK)
-        assert unpack_mset_reply_value(pack_mset_reply_value(statuses)) == statuses
-
-    def test_truncation_raises(self):
-        class Item:
-            flags = 0
-            value = b"v"
-
-        cases = [
-            (pack_mget_value((b"abc", b"de")), unpack_mget_value),
-            (pack_mget_reply_value([b"k"], [Item()]), unpack_mget_reply_value),
-            (pack_mset_value([(b"k", b"v", 1, 0, 0)]), unpack_mset_value),
-            (pack_mset_reply_value((STATUS_OK,)), unpack_mset_reply_value),
-        ]
-        for packed, unpack in cases:
-            for cut in range(1, len(packed)):
-                with pytest.raises(ProtocolError):
-                    unpack(packed[:cut])
-
-    def test_trailing_bytes_rejected(self):
-        with pytest.raises(ProtocolError):
-            unpack_mget_value(pack_mget_value((b"a",)) + b"JUNK")
-        with pytest.raises(ProtocolError):
-            unpack_mset_value(pack_mset_value([(b"k", b"v", 0, 0, 0)]) + b"X")
-
-    def test_batch_size_cap(self):
-        import struct
-
-        huge = struct.pack(">I", MAX_BATCH_ITEMS + 1)
-        with pytest.raises(ProtocolError):
-            unpack_mget_value(huge)
-        with pytest.raises(ProtocolError):
-            unpack_mset_value(huge)
-
-
-class TestBinaryDispatch:
-    def test_get_many_set_many(self):
-        client = BinaryClient(BinaryStoreServer(fresh_store()))
-        statuses = client.set_many(
-            [(b"a", b"1", 2, 0, 0), (b"b", b"2", 3, 0, 5)]
-        )
-        assert statuses == (STATUS_OK, STATUS_OK)
-        assert client.batch_supported is True
-        assert client.get_many([b"a", b"b", b"ghost"]) == {
-            b"a": b"1", b"b": b"2",
-        }
-
-    def test_set_many_status_attribution(self):
-        client = BinaryClient(BinaryStoreServer(fresh_store(slab=1024)))
-        statuses = client.set_many(
-            [(b"ok", b"v", 1, 0, 0), (b"big", b"x" * 4096, 1, 0, 0)]
-        )
-        assert statuses == (STATUS_OK, STATUS_VALUE_TOO_LARGE)
-
-    def test_cost_lands_in_store(self):
-        store = fresh_store()
-        client = BinaryClient(BinaryStoreServer(store))
-        client.set_many([(b"k", b"v", 123, 0, 0)])
-        assert store.hashtable.find(b"k").cost == 123
-
-    def test_malformed_mget_body_answers_invalid_arguments(self):
-        server = BinaryStoreServer(fresh_store())
-        reply, keep_open = server.dispatch(
-            request(OP_MGET, value=b"\x00\x00\x00\x02\x00\x05ab")
-        )
-        assert reply.status == STATUS_INVALID_ARGUMENTS
-        assert keep_open is True
-
-    def test_old_server_fallback(self):
-        # accept_batch=False: OP_MGET/OP_MSET answer UNKNOWN_COMMAND and
-        # the connection stays open; the client renegotiates per-key
-        client = BinaryClient(
-            BinaryStoreServer(fresh_store(), accept_batch=False)
-        )
-        statuses = client.set_many([(b"a", b"1", 2, 0, 0)])
-        assert statuses == (STATUS_OK,)
-        assert client.batch_supported is False
-        assert client.get_many([b"a", b"ghost"]) == {b"a": b"1"}
-        assert client.batch_supported is False
-
-    def test_unknown_command_on_mset_too(self):
-        server = BinaryStoreServer(fresh_store(), accept_batch=False)
-        reply, keep_open = server.dispatch(
-            request(OP_MSET, value=pack_mset_value([(b"k", b"v", 0, 0, 0)]))
-        )
-        from repro.protocol.binary import STATUS_UNKNOWN_COMMAND
-
-        assert reply.status == STATUS_UNKNOWN_COMMAND
-        assert keep_open is True

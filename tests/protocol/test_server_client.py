@@ -4,12 +4,8 @@ import pytest
 
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore, SimClock
-from repro.protocol import (
-    CostAwareClient,
-    LoopbackConnection,
-    StoreServer,
-    TCPStoreServer,
-)
+from repro.protocol import CostAwareClient, LoopbackConnection, StoreServer
+from tests.serving import ServerThread
 
 
 @pytest.fixture
@@ -139,7 +135,7 @@ class TestMalformedInputOverConnection:
 
 class TestTCP:
     def test_full_session_over_tcp(self, store):
-        with TCPStoreServer(store) as server:
+        with ServerThread(store) as server:
             host, port = server.address
             client = CostAwareClient.tcp(host, port)
             try:
@@ -152,7 +148,7 @@ class TestTCP:
                 client.close()
 
     def test_two_concurrent_clients(self, store):
-        with TCPStoreServer(store) as server:
+        with ServerThread(store) as server:
             host, port = server.address
             c1 = CostAwareClient.tcp(host, port)
             c2 = CostAwareClient.tcp(host, port)

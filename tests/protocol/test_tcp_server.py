@@ -1,12 +1,15 @@
-"""Threaded TCP server lifecycle: ephemeral ports, reuse, clean shutdown."""
+"""TCP server lifecycle: ephemeral ports, reuse, clean shutdown."""
 
+import asyncio
 import socket
 
 import pytest
 
+from repro.aio import AsyncTCPStoreServer
 from repro.core import LRUPolicy
 from repro.kvstore import KVStore
-from repro.protocol import CostAwareClient, TCPStoreServer
+from repro.protocol import CostAwareClient
+from tests.serving import ServerThread
 
 
 def fresh_store():
@@ -17,7 +20,7 @@ def fresh_store():
 
 class TestTCPServerLifecycle:
     def test_ephemeral_port_zero_binds_real_port(self):
-        with TCPStoreServer(fresh_store(), port=0) as server:
+        with ServerThread(fresh_store(), port=0) as server:
             host, port = server.address
             assert host == "127.0.0.1"
             assert port > 0
@@ -27,23 +30,21 @@ class TestTCPServerLifecycle:
             client.close()
 
     def test_so_reuseaddr_is_set(self):
-        with TCPStoreServer(fresh_store()) as server:
-            value = server._server.socket.getsockopt(
+        with ServerThread(fresh_store()) as server:
+            value = server.server._server.sockets[0].getsockopt(
                 socket.SOL_SOCKET, socket.SO_REUSEADDR
             )
             assert value != 0
 
     def test_port_rebindable_immediately_after_stop(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
+        server = ServerThread(fresh_store()).start()
         _, port = server.address
         client = CostAwareClient.tcp("127.0.0.1", port)
         client.set(b"k", b"v")
         server.stop()
         client.close()
         # rebinding the same port right away must not raise EADDRINUSE
-        second = TCPStoreServer(fresh_store(), port=port)
-        second.start()
+        second = ServerThread(fresh_store(), port=port).start()
         try:
             client = CostAwareClient.tcp("127.0.0.1", port)
             assert client.get(b"k") is None  # fresh store, old data gone
@@ -51,38 +52,19 @@ class TestTCPServerLifecycle:
         finally:
             second.stop()
 
-    def test_stop_is_idempotent_and_shutdown_aliases_it(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        assert server.running
-        server.shutdown()
-        assert not server.running
-        server.stop()
-        server.shutdown()  # repeated teardown is a no-op
-
     def test_stop_without_start_does_not_hang(self):
-        server = TCPStoreServer(fresh_store())
-        server.stop()
+        asyncio.run(AsyncTCPStoreServer(fresh_store()).stop())
 
     def test_double_start_rejected(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        try:
-            with pytest.raises(RuntimeError):
-                server.start()
-        finally:
-            server.stop()
+        async def main():
+            async with AsyncTCPStoreServer(fresh_store()) as server:
+                with pytest.raises(RuntimeError):
+                    await server.start()
 
-    def test_start_after_shutdown_rejected(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
-        server.stop()
-        with pytest.raises(RuntimeError):
-            server.start()
+        asyncio.run(main())
 
     def test_connect_refused_after_stop(self):
-        server = TCPStoreServer(fresh_store())
-        server.start()
+        server = ServerThread(fresh_store()).start()
         _, port = server.address
         server.stop()
         with pytest.raises(OSError):

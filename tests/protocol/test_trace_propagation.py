@@ -1,10 +1,9 @@
-"""Trace-context propagation compat: text pseudo-key, binary extras, e2e.
+"""Trace-context propagation compat: text pseudo-key, e2e.
 
-The wire contract under test: trace context rides existing request shapes
-(a trailing ``tctx:`` pseudo-key on GET lines, a 17-byte GET extras blob
-on the binary protocol), so every pairing of trace-aware and stock peers
-must keep working — the token degrades to a harmless miss on an old
-server, and extras-ignorant dispatch never sees the blob.
+The wire contract under test: trace context rides an existing request
+shape (a trailing ``tctx:`` pseudo-key on GET lines), so every pairing of
+trace-aware and stock peers must keep working — the token degrades to a
+harmless miss on an old server.
 """
 
 import asyncio
@@ -20,11 +19,6 @@ from repro.obs.tracing import (
     encode_token,
 )
 from repro.protocol import StoreServer
-from repro.protocol.binary import (
-    STATUS_OK,
-    BinaryClient,
-    BinaryStoreServer,
-)
 from repro.protocol.commands import GetCommand
 from repro.protocol.text import RequestParser, _validate_key
 
@@ -169,48 +163,6 @@ class TestTextDispatch:
         assert spans["store.get"].trace_id == CONTEXT.trace_id
 
 
-# -- binary extras: both directions ------------------------------------------------
-
-
-class TestBinaryDispatch:
-    def test_traced_client_against_tracerless_server(self):
-        server = BinaryStoreServer(fresh_store())
-        client = BinaryClient(server)
-        assert client.set(b"k", b"v") == STATUS_OK
-        assert client.get(b"k", context=CONTEXT) == b"v"
-        assert client.get(b"missing", context=CONTEXT) is None
-
-    def test_old_client_against_traced_server(self):
-        tracer = make_tracer()
-        server = BinaryStoreServer(fresh_store(), tracer=tracer)
-        client = BinaryClient(server)
-        client.set(b"k", b"v")
-        assert client.get(b"k") == b"v"
-        assert tracer.buffer.spans() == []
-
-    def test_traced_server_continues_context_from_extras(self):
-        tracer = make_tracer()
-        server = BinaryStoreServer(fresh_store(), tracer=tracer)
-        client = BinaryClient(server)
-        client.set(b"k", b"v")
-        assert client.get(b"k", context=CONTEXT) == b"v"
-        spans = tracer.buffer.spans()
-        assert [span.name for span in spans] == ["server.dispatch"]
-        span = spans[0]
-        assert span.trace_id == CONTEXT.trace_id
-        assert span.parent_id == CONTEXT.span_id
-        assert span.attrs["proto"] == "binary"
-
-    def test_unsampled_context_records_nothing(self):
-        tracer = make_tracer()
-        server = BinaryStoreServer(fresh_store(), tracer=tracer)
-        client = BinaryClient(server)
-        client.set(b"k", b"v")
-        declined = TraceContext(trace_id=7, span_id=8, sampled=False)
-        assert client.get(b"k", context=declined) == b"v"
-        assert tracer.buffer.spans() == []
-
-
 # -- end to end: one GET, one trace, both processes' spans linked ------------------
 
 
@@ -331,22 +283,6 @@ class TestBatchedFrameTracing:
         child = spans["store.get_many"]
         assert child.trace_id == CONTEXT.trace_id
         assert child.parent_id == spans["server.dispatch"].span_id
-
-    def test_binary_mget_extras_continue_the_context(self):
-        tracer = make_tracer()
-        server = BinaryStoreServer(fresh_store(), tracer=tracer)
-        client = BinaryClient(server)
-        client.set(b"a", b"1")
-        client.set(b"b", b"2")
-        found = client.get_many([b"a", b"b", b"miss"], context=CONTEXT)
-        assert found == {b"a": b"1", b"b": b"2"}
-        spans = tracer.buffer.spans()
-        assert [span.name for span in spans] == ["server.dispatch"]
-        span = spans[0]
-        assert span.trace_id == CONTEXT.trace_id
-        assert span.attrs["cmd"] == "mget"
-        assert span.attrs["proto"] == "binary"
-        assert span.attrs["nkeys"] == 3
 
     def test_e2e_one_server_span_per_mget_frame(self):
         # a 12-key multi_get in mget mode is ONE frame: the server must

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
-from repro.protocol.server import TCPStoreServer
 from repro.replica.hlc import HybridLogicalClock
+from tests.serving import ServerThread
 
 
 class Member:
@@ -18,12 +18,8 @@ class Member:
             policy_factory=GDWheelPolicy,
             hlc=HybridLogicalClock(),
         )
-        self.server = TCPStoreServer(self.store)
-        self.server.start()
-
-    @property
-    def address(self):
-        return self.server.address
+        self.server = ServerThread(self.store).start()
+        self.address = self.server.address
 
     def stop(self):
         self.server.stop()

@@ -17,16 +17,6 @@ from repro.aio import AsyncStoreClient, AsyncTCPStoreServer
 from repro.aio.backoff import NO_RETRY, RetryPolicy
 from repro.core import GDWheelPolicy
 from repro.kvstore import KVStore
-from repro.protocol.binary import (
-    MAGIC_REQUEST,
-    MAGIC_RESPONSE,
-    OP_MGET,
-    BinaryParser,
-    BinaryStoreServer,
-    pack_mget_value,
-    request,
-    unpack_mget_reply_value,
-)
 from repro.resilience import ChaosProxy, FaultSchedule
 
 
@@ -109,47 +99,6 @@ class TestTextResyncUnderChaos:
                     await client.aclose()
 
         run(main())
-
-
-class TestBinaryResync:
-    def test_mget_frame_byte_at_a_time(self):
-        store = fresh_store()
-        store.set(b"a", b"1", cost=1)
-        store.set(b"b", b"2", cost=1)
-        server = BinaryStoreServer(store)
-        parser = BinaryParser(MAGIC_REQUEST)
-        wire = request(OP_MGET, value=pack_mget_value([b"a", b"b"])).pack()
-        out = b""
-        for i in range(len(wire)):
-            out, keep_open = server.handle_bytes(parser, wire[i : i + 1])
-            assert keep_open
-            if i < len(wire) - 1:
-                assert out == b""  # nothing until the frame completes
-        reply_parser = BinaryParser(MAGIC_RESPONSE)
-        reply_parser.feed(out)
-        reply = reply_parser.try_parse()
-        assert unpack_mget_reply_value(reply.value) == [
-            (b"a", 0, b"1"), (b"b", 0, b"2"),
-        ]
-
-    def test_split_frame_then_next_frame(self):
-        # a frame cut mid-value stalls (no output), completes on the next
-        # feed, and the parser is clean for the frame after it
-        store = fresh_store()
-        store.set(b"k", b"v", cost=1)
-        server = BinaryStoreServer(store)
-        parser = BinaryParser(MAGIC_REQUEST)
-        first = request(OP_MGET, value=pack_mget_value([b"k"])).pack()
-        second = request(OP_MGET, value=pack_mget_value([b"k"])).pack()
-        out, _ = server.handle_bytes(parser, first[:30])
-        assert out == b""
-        out, _ = server.handle_bytes(parser, first[30:] + second)
-        reply_parser = BinaryParser(MAGIC_RESPONSE)
-        reply_parser.feed(out)
-        replies = list(reply_parser)
-        assert len(replies) == 2
-        for reply in replies:
-            assert unpack_mget_reply_value(reply.value) == [(b"k", 0, b"v")]
 
 
 class TestVersionSkewMatrix:
