@@ -1,18 +1,20 @@
-"""Chained hash table with incremental expansion — memcached's ``assoc``.
+"""The key index — memcached's ``assoc``, as a dict from key to item.
 
-The index half of Figure 5: a power-of-two array of buckets, each a singly
-linked chain through ``Item.h_next``.  Like memcached's ``assoc_insert`` /
-``assoc_expand``, the table doubles when the load factor passes 1.5 and the
-old buckets are migrated *incrementally* (a fixed number of old buckets per
-subsequent operation) so no single request pays an O(n) rehash — the same
-"keep every operation constant time" discipline that motivates GD-Wheel.
+The index half of Figure 5.  Memcached chains items through a power-of-two
+bucket array and migrates buckets incrementally when it doubles, so no
+single request pays an O(n) rehash.  Here the index is a plain ``dict``:
+lookups run in C, and Python's bytes hash is keyed SipHash, so clients
+cannot choose keys that pile into one bucket.  The trade is that a dict
+resizes all at once under insert/delete churn (DESIGN §2 has the numbers).
 
-Hashing uses FNV-1a over the key bytes, memcached's historical default.
+:func:`fnv1a_64` is memcached's historical key hash.  The index no longer
+uses it, but anti-entropy digests and replica placement put it on the wire,
+where every member must compute the same value for the same key.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.kvstore.item import Item
 
@@ -30,160 +32,46 @@ def fnv1a_64(data: bytes) -> int:
 
 
 class HashTable:
-    """Chained hash table over :class:`Item` with incremental doubling."""
+    """Key -> :class:`Item` index over a ``dict``.
 
-    #: old buckets migrated per mutating operation while expanding
-    MIGRATE_BATCH = 4
+    ``find`` and ``delete`` are the dict's own bound ``get`` and ``pop``, so
+    a lookup costs one C call and no Python frame.
+    """
 
-    def __init__(
-        self,
-        initial_power: int = 10,
-        load_factor: float = 1.5,
-        hash_func=fnv1a_64,
-    ) -> None:
+    __slots__ = ("_items", "find", "_pop")
+
+    def __init__(self, initial_power: int = 10) -> None:
         """
         Args:
-            initial_power: table starts with ``2**initial_power`` buckets
-                (memcached's default power is 16; tests use smaller).
-            load_factor: expansion threshold (items / buckets).
-            hash_func: bytes -> int.  FNV-1a by default (memcached's
-                historical choice); simulations may pass the built-in
-                ``hash`` for speed — bucket layout never affects results.
+            initial_power: checked (>= 1) but has no effect, since a dict
+                sizes itself; kept for callers written for the chained
+                table's ``2**initial_power`` buckets.
         """
         if initial_power < 1:
             raise ValueError("initial_power must be >= 1")
-        self._hash = hash_func
-        self._power = initial_power
-        self._buckets: List[Optional[Item]] = [None] * (1 << initial_power)
-        self._old_buckets: Optional[List[Optional[Item]]] = None
-        self._migrate_pos = 0
-        self._count = 0
-        self._load_factor = load_factor
-        #: number of completed expansions (observability)
-        self.expansions = 0
+        self._items: Dict[bytes, Item] = {}
+        #: ``find(key)``: the item for ``key``, or ``None``
+        self.find = self._items.get
+        self._pop = self._items.pop
 
     def __len__(self) -> int:
-        return self._count
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self._buckets)
-
-    @property
-    def expanding(self) -> bool:
-        return self._old_buckets is not None
-
-    # -- internals ---------------------------------------------------------------
-
-    def _bucket_index(self, hashval: int, buckets: List[Optional[Item]]) -> int:
-        return hashval & (len(buckets) - 1)
-
-    def _locate(self, key: bytes, hashval: int):
-        """Return (bucket_list, index, prev_item, item) for ``key``."""
-        # While expanding, a key lives in the old table if its old bucket has
-        # not been migrated yet.
-        if self._old_buckets is not None:
-            old_idx = self._bucket_index(hashval, self._old_buckets)
-            if old_idx >= self._migrate_pos:
-                buckets, idx = self._old_buckets, old_idx
-            else:
-                buckets, idx = self._buckets, self._bucket_index(hashval, self._buckets)
-        else:
-            buckets, idx = self._buckets, self._bucket_index(hashval, self._buckets)
-        prev: Optional[Item] = None
-        item = buckets[idx]
-        while item is not None:
-            if item.key == key:
-                return buckets, idx, prev, item
-            prev, item = item, item.h_next
-        return buckets, idx, None, None
-
-    def _maybe_start_expansion(self) -> None:
-        if self._old_buckets is not None:
-            return
-        if self._count <= self._load_factor * len(self._buckets):
-            return
-        self._old_buckets = self._buckets
-        self._buckets = [None] * (len(self._old_buckets) * 2)
-        self._power += 1
-        self._migrate_pos = 0
-
-    def _migrate_some(self) -> None:
-        if self._old_buckets is None:
-            return
-        batch = self.MIGRATE_BATCH
-        old = self._old_buckets
-        while batch > 0 and self._migrate_pos < len(old):
-            item = old[self._migrate_pos]
-            while item is not None:
-                nxt = item.h_next
-                idx = self._bucket_index(self._hash(item.key), self._buckets)
-                item.h_next = self._buckets[idx]
-                self._buckets[idx] = item
-                item = nxt
-            old[self._migrate_pos] = None
-            self._migrate_pos += 1
-            batch -= 1
-        if self._migrate_pos >= len(old):
-            self._old_buckets = None
-            self._migrate_pos = 0
-            self.expansions += 1
-
-    # -- public API ----------------------------------------------------------------
-
-    def find(self, key: bytes) -> Optional[Item]:
-        """Look up ``key``; returns the item or ``None``."""
-        # Steady state (no expansion in flight) walks the chain inline —
-        # find() is the single hottest call in the simulation driver and
-        # the _locate/_bucket_index detour costs two frames per probe.
-        if self._old_buckets is None:
-            buckets = self._buckets
-            item = buckets[self._hash(key) & (len(buckets) - 1)]
-            while item is not None:
-                if item.key == key:
-                    return item
-                item = item.h_next
-            return None
-        _, _, _, item = self._locate(key, self._hash(key))
-        return item
+        return len(self._items)
 
     def insert(self, item: Item) -> None:
         """Insert a new item.  The key must not already be present."""
-        hashval = self._hash(item.key)
-        buckets, idx, _, existing = self._locate(item.key, hashval)
-        if existing is not None:
-            raise KeyError(f"duplicate key {item.key!r}")
-        item.h_next = buckets[idx]
-        buckets[idx] = item
-        self._count += 1
-        self._maybe_start_expansion()
-        self._migrate_some()
+        items = self._items
+        key = item.key
+        if key in items:
+            raise KeyError(f"duplicate key {key!r}")
+        items[key] = item
 
     def delete(self, key: bytes) -> Optional[Item]:
         """Remove and return the item for ``key``, or ``None``."""
-        buckets, idx, prev, item = self._locate(key, self._hash(key))
-        if item is None:
-            return None
-        if prev is None:
-            buckets[idx] = item.h_next
-        else:
-            prev.h_next = item.h_next
-        item.h_next = None
-        self._count -= 1
-        self._migrate_some()
-        return item
+        return self._pop(key, None)
 
     def __contains__(self, key: bytes) -> bool:
-        return self.find(key) is not None
+        return key in self._items
 
     def items(self) -> Iterator[Item]:
-        """Iterate all items (unordered); O(buckets + items)."""
-        tables = [self._buckets]
-        if self._old_buckets is not None:
-            tables.append(self._old_buckets)
-        for table in tables:
-            for head in table:
-                item = head
-                while item is not None:
-                    yield item
-                    item = item.h_next
+        """Iterate all items."""
+        return iter(self._items.values())

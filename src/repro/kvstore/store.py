@@ -1,11 +1,11 @@
 """The key-value store facade — a memcached work-alike in simulation.
 
-Wires together the chained hash table (the index), the slab allocator (the
-memory), one replacement policy instance per slab class (the paper replaces
-each class's LRU with GD-Wheel, Section 4.3), and a slab rebalancer
-(Section 5).  The public operations mirror memcached's command set: GET,
-SET, ADD, REPLACE, DELETE, TOUCH, FLUSH_ALL — with the paper's protocol
-extension that SET may carry a recomputation **cost**.
+Wires together the key index (a dict), the slab allocator (the memory),
+one replacement policy instance per slab class (the paper replaces each
+class's LRU with GD-Wheel, Section 4.3), and a slab rebalancer (Section 5).
+The public operations mirror memcached's command set: GET, SET, ADD,
+REPLACE, DELETE, TOUCH, FLUSH_ALL — with the paper's protocol extension
+that SET may carry a recomputation **cost**.
 
 Eviction flow on SET (Figure 6): find the item's slab class; take a free
 chunk; failing that, allocate a new slab while under the memory limit;
@@ -59,8 +59,6 @@ class KVStore:
         growth_factor: float = DEFAULT_GROWTH_FACTOR,
         min_chunk_size: int = DEFAULT_MIN_CHUNK,
         clock: Optional[SimClock] = None,
-        hash_power: int = 10,
-        hash_func=None,
         registry: Optional[MetricsRegistry] = None,
         trace: Optional[EventTrace] = None,
         tier=None,
@@ -76,7 +74,6 @@ class KVStore:
             rebalancer: slab rebalancing policy; default is none.
             slab_size / growth_factor / min_chunk_size: allocator geometry.
             clock: shared simulated clock (created if omitted).
-            hash_power: initial hash-table size is ``2**hash_power`` buckets.
             registry: metrics registry for counters/latency histograms; a
                 private one is created when omitted (counters always work).
                 Pass a :class:`~repro.obs.registry.NullRegistry` to make
@@ -107,10 +104,7 @@ class KVStore:
             growth_factor=growth_factor,
             min_chunk_size=min_chunk_size,
         )
-        if hash_func is not None:
-            self.hashtable = HashTable(initial_power=hash_power, hash_func=hash_func)
-        else:
-            self.hashtable = HashTable(initial_power=hash_power)
+        self.hashtable = HashTable()
         self._policy_factory = policy_factory
         self._policies: dict = {}  # class_id -> ReplacementPolicy
         self.rebalancer = rebalancer if rebalancer is not None else NullRebalancer()
@@ -144,6 +138,9 @@ class KVStore:
         self._count_get_miss = counters["get_misses"].inc
         self._count_set = counters["sets"].inc
         self._cas_counter = 0
+        #: ``store_op_latency_us{op=get}`` when instrumented; get_many
+        #: observes it once per key, as a per-key get would
+        self._get_latency = None
         # Per-op wall-clock histograms are opt-in: only when a registry was
         # explicitly attached (and is live) do we pay two perf_counter reads
         # per operation.  Simulations that never asked for telemetry keep
@@ -171,6 +168,8 @@ class KVStore:
                 op=op,
             )
             setattr(self, op, self._timed(getattr(self, op), hist))
+            if op == "get":
+                self._get_latency = hist
 
     @staticmethod
     def _timed(fn, hist):
@@ -428,13 +427,57 @@ class KVStore:
     def get_many(self, keys) -> List[Optional[Item]]:
         """Vectored GET: one item (or ``None``) per key, in key order.
 
-        The per-key semantics are exactly :meth:`get` (expiry, policy
-        touch, tier promotion, stats); the vectored form exists so the
-        serving layer can dispatch a whole MGET frame in one store call —
-        one dispatch entry on the protocol engine.
+        The per-key semantics are exactly :meth:`get`'s: the rebalancer's
+        ``on_request`` fires per key, expiry unlinks and counts
+        ``get_expired``, a miss falls through to the tier, hits touch the
+        policy, and an instrumented store observes one ``get`` latency per
+        key.  What a frame shares is resolved once: the index's bound
+        lookup, the clock reading (no GET advances the clock) and the
+        hit/miss counters, which are bumped once per frame.
         """
-        get = self.get
-        return [get(key) for key in keys]
+        find = self.hashtable.find
+        on_request = self._on_request
+        tier = self.tier
+        latency = self._get_latency
+        if latency is not None:
+            perf_counter = time.perf_counter
+            observe = latency.observe
+        now = self.clock._now
+        items: List[Optional[Item]] = []
+        append = items.append
+        hits = 0
+        for key in keys:
+            if latency is not None:
+                started = perf_counter()
+            if on_request is not None:
+                on_request()
+            item = find(key)
+            if item is None:
+                if tier is not None:
+                    item = self._promote_from_tier(key)
+            elif item.exptime != NEVER_EXPIRES and now >= item.exptime:
+                self._unlink_item(item, item.slab.owner)
+                self.stats.get_expired += 1
+                item = None
+            else:
+                item.last_access = now
+                slab = item.slab
+                slab.last_access = now
+                slab_class = slab.owner
+                policy = slab_class.policy
+                if policy is None:
+                    policy = self.policy_for(slab_class)
+                policy.touch(item)
+            if item is not None:
+                hits += 1
+            append(item)
+            if latency is not None:
+                observe((perf_counter() - started) * 1e6)
+        if hits:
+            self._count_get_hit(hits)
+        if hits < len(items):
+            self._count_get_miss(len(items) - hits)
+        return items
 
     def set_many(self, entries) -> List[object]:
         """Vectored SET of ``(key, value, cost, exptime, flags[, version])``.
@@ -566,6 +609,8 @@ class KVStore:
         # validated before any state changes: a policy that refused the
         # cost at insert would leave the item in the hash table and the
         # allocator but not in the policy
+        if type(cost) is not int:
+            raise TypeError(f"cost must be an int, got {type(cost).__name__}")
         if not 0 <= cost <= policy.max_cost:
             raise CostOutOfRangeError(
                 f"cost {cost} outside {policy.name}'s range "

@@ -33,7 +33,7 @@ included), suitable for feeding raw socket reads.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.protocol.commands import (
     DeleteCommand,
@@ -94,12 +94,31 @@ Command = Union[
 _STORAGE_VERBS = (b"set", b"add", b"replace", b"append", b"prepend", b"cas")
 
 
+#: bytes a key may not contain: controls, space and DEL (memcached's rule)
+_FORBIDDEN_KEY_BYTES = bytes(range(33)) + b"\x7f"
+
+
 def _validate_key(key: bytes) -> bytes:
     if not key or len(key) > MAX_KEY_LENGTH:
         raise ProtocolError(f"bad key length {len(key)}")
-    if any(c <= 32 or c == 127 for c in key):
+    # one C-level pass: deleting the forbidden bytes shortens a bad key
+    if len(key.translate(None, _FORBIDDEN_KEY_BYTES)) != len(key):
         raise ProtocolError("key contains whitespace or control characters")
     return key
+
+
+def _validate_keys(keys: List[bytes]) -> Tuple[bytes, ...]:
+    """:func:`_validate_key` over a GET/MGET key list (``split()`` tokens,
+    so never empty) in C-level passes; the per-key check runs only to
+    report the first bad key."""
+    joined = b"".join(keys)
+    if (
+        len(joined.translate(None, _FORBIDDEN_KEY_BYTES)) != len(joined)
+        or max(map(len, keys)) > MAX_KEY_LENGTH
+    ):
+        for key in keys:
+            _validate_key(key)
+    return tuple(keys)
 
 
 def _parse_int(token: bytes, what: str) -> int:
@@ -237,7 +256,7 @@ class RequestParser:
                 trace_token = keys[-1]
                 keys = keys[:-1]
             return GetCommand(
-                keys=tuple(_validate_key(k) for k in keys),
+                keys=_validate_keys(keys),
                 with_cas=verb == b"gets",
                 trace_token=trace_token,
             )
@@ -252,7 +271,7 @@ class RequestParser:
                 trace_token = keys[-1]
                 keys = keys[:-1]
             return MultiGetCommand(
-                keys=tuple(_validate_key(k) for k in keys),
+                keys=_validate_keys(keys),
                 trace_token=trace_token,
             )
         if verb == b"mset" and self.accept_batch:

@@ -5,12 +5,18 @@ wheels of 256 queues, the range of the item's 2-byte cost field.  A write
 above that is answered with an error, and the store is left exactly as it
 was: the key keeps its previous value, and the hash table, the allocator
 and the policy still agree (``check_invariants``).  The connection stays
-usable afterwards.
+usable afterwards.  A cost that is not an ``int`` (a float, or ``True``)
+is refused the same way, with ``TypeError``.
 """
 
 import pytest
 
-from repro.core import CostOutOfRangeError, GDWheelPolicy, LRUPolicy
+from repro.core import (
+    POLICY_REGISTRY,
+    CostOutOfRangeError,
+    GDWheelPolicy,
+    LRUPolicy,
+)
 from repro.kvstore import KVStore
 from repro.protocol import LoopbackConnection, StoreServer
 
@@ -69,6 +75,17 @@ class TestStore:
         assert results[1].value == b"B"
         store.check_invariants()
         assert value_of(store, b"a") == b"old"
+
+    @pytest.mark.parametrize("policy", ["lru", "gd-wheel", "gd-pq", "camp"])
+    @pytest.mark.parametrize("cost", [1.5, True])
+    def test_non_int_cost_raises_and_keeps_old_value(self, policy, cost):
+        store = fresh_store(POLICY_REGISTRY[policy])
+        store.set(b"k", b"old", cost=5)
+        with pytest.raises(TypeError):
+            store.set(b"k", b"new", cost=cost)
+        store.check_invariants()
+        assert value_of(store, b"k") == b"old"
+        assert store.hashtable.find(b"k").cost == 5
 
 
 class TestTextProtocol:
